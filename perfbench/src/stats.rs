@@ -65,6 +65,13 @@ pub fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
+/// Resets the process's peak resident set to its current resident set
+/// (Linux `/proc/self/clear_refs`, value 5), so [`peak_rss_mb`] reports
+/// the peak of what runs next. Returns whether the kernel accepted it.
+pub fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
 /// A JSON number with every digit Rust's shortest round-trip form gives,
 /// or `null` when not finite.
 pub fn num(x: f64) -> String {

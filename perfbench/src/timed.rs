@@ -216,6 +216,18 @@ pub fn run(kind: Kind, plan: &Plan, seed: u64, work: &Path) -> Outcome {
             .into_iter()
             .flatten()
             .collect();
+        drop(ctx);
+        // Priming simulates both grids, the 4-core mix included; without
+        // a reset `peak_rss_mb` would report that peak, not the timed
+        // passes'.
+        evidence.push((
+            "priming_peak_rss_mb".to_owned(),
+            stats::num(stats::peak_rss_mb()),
+        ));
+        evidence.push((
+            "peak_rss_reset".to_owned(),
+            stats::reset_peak_rss().to_string(),
+        ));
     }
     let dirs: Vec<PathBuf> = (0..plan.setups)
         .map(|i| {

@@ -24,7 +24,7 @@ use tlp_sim::hooks::{
     PrefetchCandidate,
 };
 use tlp_sim::types::{Cycle, Level};
-use tlp_sim::{SimReport, SystemConfig};
+use tlp_sim::{EngineMode, SimReport, SystemConfig};
 use tlp_trace::emit::Workload;
 use tlp_trace::simpoint::{simpoints_of, BbvConfig};
 use tlp_trace::{TraceRecord, TraceSource, VecTrace};
@@ -32,7 +32,9 @@ use tlp_tracestore::{
     capture_desc, TraceKey, TraceStore, CAPTURE_SIMPOINT_K, CAPTURE_SIMPOINT_SEED,
 };
 
-use crate::plan::{self, grid, CellSpec, Ctx, Kind, Picks, Plan, ISO_GBPS, MIX_GBPS, SCHEMES, TLP};
+use crate::plan::{
+    self, grid, CellSpec, Ctx, Kind, Picks, Plan, BASE, ISO_GBPS, MIX_GBPS, SCHEMES, TLP,
+};
 use crate::stats::{self, median, ratio, Metrics};
 use crate::timed::{self, panic_text, Checker};
 
@@ -250,41 +252,27 @@ impl Seams {
 
     /// Wraps every non-null hook of `setup` (null hooks stay in the
     /// engine's own time).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a predictor or filter none of [`crate::plan::SCHEMES`]
+    /// builds.
     fn wrap(&mut self, s: CoreSetup) -> CoreSetup {
         let offchip = match s.offchip.name() {
             "none" => s.offchip,
-            n => {
-                let layer = if n.starts_with("flp") {
-                    "core.flp"
-                } else if n == "hermes" {
-                    "baselines.hermes"
-                } else {
-                    "hooks.offchip_other"
-                };
-                Box::new(Timed::new(s.offchip, self.acc(layer)))
-            }
+            "flp" => Box::new(Timed::new(s.offchip, self.acc("core.flp"))),
+            "hermes" => Box::new(Timed::new(s.offchip, self.acc("baselines.hermes"))),
+            n => panic!("no benchmarked scheme builds off-chip predictor {n}"),
         };
         let l1_filter = match s.l1_filter.name() {
             "none" => s.l1_filter,
-            n => {
-                let layer = if n == "slp" {
-                    "core.slp"
-                } else {
-                    "hooks.l1_filter_other"
-                };
-                Box::new(Timed::new(s.l1_filter, self.acc(layer)))
-            }
+            "slp" => Box::new(Timed::new(s.l1_filter, self.acc("core.slp"))),
+            n => panic!("no benchmarked scheme builds L1 filter {n}"),
         };
         let l2_filter = match s.l2_filter.name() {
             "none" => s.l2_filter,
-            n => {
-                let layer = if n == "ppf" {
-                    "baselines.ppf"
-                } else {
-                    "hooks.l2_filter_other"
-                };
-                Box::new(Timed::new(s.l2_filter, self.acc(layer)))
-            }
+            "ppf" => Box::new(Timed::new(s.l2_filter, self.acc("baselines.ppf"))),
+            n => panic!("no benchmarked scheme builds L2 filter {n}"),
         };
         let l1_prefetcher: Box<dyn L1Prefetcher> = match s.l1_prefetcher.name() {
             "none" => s.l1_prefetcher,
@@ -324,10 +312,17 @@ fn system_config(spec: CellSpec) -> SystemConfig {
     }
 }
 
-/// Re-simulates `spec` the way the harness assembles it, with every hook
-/// and the trace source wrapped; records a `sim.run` span with one child
-/// per seam.
-fn resimulate(ctx: &Ctx, plan: &Plan, recs: &Records, spec: CellSpec, spans: &mut Spans) -> Resim {
+/// Re-simulates `spec` the way the harness assembles it, under engine
+/// `mode`, with every hook and the trace source wrapped; records a
+/// `sim.run` span with one child per seam.
+fn resimulate(
+    ctx: &Ctx,
+    plan: &Plan,
+    recs: &Records,
+    spec: CellSpec,
+    mode: EngineMode,
+    spans: &mut Spans,
+) -> Resim {
     let scheme = &ctx.schemes[spec.scheme()];
     let cores: Vec<&Arc<dyn Workload>> = match spec {
         CellSpec::Single { w, .. } => vec![&ctx.singles[w]],
@@ -354,7 +349,7 @@ fn resimulate(ctx: &Ctx, plan: &Plan, recs: &Records, spec: CellSpec, spans: &mu
                 seams.wrap(setup)
             })
             .collect();
-        let mut sys = System::new(system_config(spec), setups).with_engine_mode(plan.rc.engine);
+        let mut sys = System::new(system_config(spec), setups).with_engine_mode(mode);
         let t = Instant::now();
         let report = sys.run(plan.rc.warmup, plan.rc.instructions);
         let run_ns = elapsed_ns(t);
@@ -383,14 +378,16 @@ fn resimulate(ctx: &Ctx, plan: &Plan, recs: &Records, spec: CellSpec, spans: &mu
     }
 }
 
-/// Re-simulates every cell on `threads` workers. Returns the results in
-/// `specs` order, each worker's spans, and the summed busy time of the
-/// workers (the thread time this parallel section adds to the window).
+/// Re-simulates every cell under engine `mode` on `threads` workers.
+/// Returns the results in `specs` order, each worker's spans, and the
+/// summed busy time of the workers (the thread time this parallel section
+/// adds to the window).
 fn resimulate_all(
     ctx: &Ctx,
     plan: &Plan,
     recs: &Records,
     specs: &[CellSpec],
+    mode: EngineMode,
 ) -> (Vec<Resim>, Spans, u64) {
     let next = AtomicUsize::new(0);
     let results = Mutex::new(Vec::new());
@@ -405,7 +402,7 @@ fn resimulate_all(
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&spec) = specs.get(i) else { break };
-                        let r = resimulate(ctx, plan, recs, spec, &mut mine);
+                        let r = resimulate(ctx, plan, recs, spec, mode, &mut mine);
                         results
                             .lock()
                             .expect("no worker panics while holding the lock")
@@ -571,7 +568,7 @@ pub fn run(kind: Kind, plan: &Plan, seed: u64, work: &Path, out_dir: &Path) -> t
     let mut resims = Vec::new();
     let t_par = Instant::now();
     if kind != Kind::Warm {
-        let (r, worker_spans, ns) = resimulate_all(&ctx, plan, &recs, &specs);
+        let (r, worker_spans, ns) = resimulate_all(&ctx, plan, &recs, &specs, rc.engine);
         spans.extend(worker_spans);
         sim_thread_ns = ns;
         resims = r;
@@ -621,6 +618,29 @@ pub fn run(kind: Kind, plan: &Plan, seed: u64, work: &Path, out_dir: &Path) -> t
     }
     let window_ns = elapsed_ns(t0);
     let thread_window_ns = window_ns - par_ns + sim_thread_ns;
+
+    // Idle-skipping, outside the window: the grid's Baseline cells once
+    // more under the event engine, whose skipped cycles the default cycle
+    // engine still ticks. Engine mode never changes a report.
+    let (mut event_ticks, mut event_cycles) = (0u64, 0u64);
+    if kind != Kind::Warm {
+        let base: Vec<CellSpec> = specs
+            .iter()
+            .copied()
+            .filter(|s| s.scheme() == BASE)
+            .collect();
+        let (event, _, _) = resimulate_all(&ctx, plan, &recs, &base, EngineMode::Event);
+        for r in event {
+            event_ticks += r.ticks;
+            event_cycles += r.cycles;
+            let cell = ctx.cell(r.spec);
+            check.check(
+                cell.key(),
+                &format!("event-engine {}", cell.label()),
+                r.report,
+            );
+        }
+    }
 
     let tot = spans.totals();
     let get = |n: &str| tot.get(n).copied().unwrap_or_default();
@@ -723,6 +743,14 @@ pub fn run(kind: Kind, plan: &Plan, seed: u64, work: &Path, out_dir: &Path) -> t
         "sim.ticks_per_cycle",
         ratio(ticks as f64, cycles as f64),
         "x",
+    );
+    m.put(
+        "sim.event_skipped_frac",
+        ratio(
+            event_cycles.saturating_sub(event_ticks) as f64,
+            event_cycles as f64,
+        ),
+        "fraction",
     );
     model_metrics(&mut m, &specs, &reports);
 
