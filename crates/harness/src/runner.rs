@@ -47,10 +47,11 @@ pub struct RunConfig {
     pub workloads_per_suite: Option<usize>,
     /// Worker threads for sweeps.
     pub threads: usize,
-    /// Engine time-advance strategy. Cycle and event mode produce
-    /// bit-identical reports (pinned by `tests/determinism.rs`), so the
-    /// mode is deliberately **not** part of the cell content address —
-    /// cached results are shared across modes.
+    /// Engine time-advance strategy: event skipping, unless a test
+    /// selects the single-stepping [`EngineMode::Cycle`] oracle. Both
+    /// produce bit-identical reports (pinned by `tests/determinism.rs`),
+    /// so the mode is deliberately **not** part of the cell content
+    /// address — cached results are shared across modes.
     pub engine: EngineMode,
 }
 
@@ -65,7 +66,7 @@ impl RunConfig {
             mixes_per_suite: 2,
             workloads_per_suite: Some(2),
             threads: available_threads(),
-            engine: engine_from_env(),
+            engine: EngineMode::default(),
         }
     }
 
@@ -79,7 +80,7 @@ impl RunConfig {
             mixes_per_suite: 4,
             workloads_per_suite: Some(6),
             threads: available_threads(),
-            engine: engine_from_env(),
+            engine: EngineMode::default(),
         }
     }
 
@@ -93,7 +94,7 @@ impl RunConfig {
             mixes_per_suite: 12,
             workloads_per_suite: None,
             threads: available_threads(),
-            engine: engine_from_env(),
+            engine: EngineMode::default(),
         }
     }
 }
@@ -109,23 +110,6 @@ fn available_threads() -> usize {
         return n;
     }
     std::thread::available_parallelism().map_or(4, |n| n.get())
-}
-
-/// Engine-mode default: the `TLP_ENGINE` environment variable when set
-/// (CI runs the golden/determinism suites under both modes with it), else
-/// the cycle-accurate reference engine.
-///
-/// # Panics
-///
-/// Panics on an unrecognized `TLP_ENGINE` value — a typo silently falling
-/// back to the default would defeat the CI matrix.
-fn engine_from_env() -> EngineMode {
-    match std::env::var("TLP_ENGINE") {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid TLP_ENGINE: {e}")),
-        Err(_) => EngineMode::Cycle,
-    }
 }
 
 /// One simulation cell of the evaluation grid: a content-addressed key, a

@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //! ```text
-//! tlp-repro [--test|--quick|--full] [--engine cycle|event] [--jobs N]
+//! tlp-repro [--test|--quick|--full] [--jobs N]
 //!           [--cache-dir DIR] [fig1 fig2 ... | all]
 //!           [--scheme NAME [--l1pf NAME]]
 //!           [--list-schemes] [--list-prefetchers] [--list-components]
@@ -27,7 +27,7 @@
 //!
 //! `--serve HOST:PORT` turns the process into a simulation daemon (the
 //! same service as the `tlp_serve` binary, sharing this invocation's
-//! scale/engine/cache flags); `--connect HOST:PORT` runs `--scheme`
+//! scale/cache flags); `--connect HOST:PORT` runs `--scheme`
 //! sweeps against a remote daemon instead of simulating locally — the
 //! rendered tables are byte-identical either way.
 
@@ -68,7 +68,6 @@ fn main() {
     let mut jobs: Option<usize> = None;
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut no_cache = false;
-    let mut engine: Option<tlp_sim::EngineMode> = None;
     let mut schemes: Vec<String> = Vec::new();
     let mut l1pf_name: String = "ipcp".to_owned();
     let mut l1pf_given = false;
@@ -168,17 +167,6 @@ fn main() {
                 }
                 return;
             }
-            "--engine" => match it.next().map(|v| v.parse::<tlp_sim::EngineMode>()) {
-                Some(Ok(mode)) => engine = Some(mode),
-                Some(Err(e)) => {
-                    eprintln!("--engine: {e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("--engine requires a mode: cycle or event");
-                    std::process::exit(2);
-                }
-            },
             "--test" => rc = RunConfig::test(),
             "--quick" => rc = RunConfig::quick(),
             "--full" => rc = RunConfig::full(),
@@ -251,12 +239,10 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "tlp-repro [--test|--quick|--full] [--list] [--all] [--engine cycle|event] [--jobs N] [--cache-dir DIR] [--no-cache] [--json] [--csv] [--chart] [--out DIR] [--scheme NAME]... [--l1pf NAME] [experiments...]\n\
+                    "tlp-repro [--test|--quick|--full] [--list] [--all] [--jobs N] [--cache-dir DIR] [--no-cache] [--json] [--csv] [--chart] [--out DIR] [--scheme NAME]... [--l1pf NAME] [experiments...]\n\
                      experiments: {} table45 all\n\
                      --list prints the experiment ids, one per line\n\
                      --all runs every experiment (same as the `all` operand)\n\
-                     --engine selects the time-advance strategy (default: cycle, or $TLP_ENGINE); \
-                     both modes produce bit-identical tables, event mode skips idle cycles\n\
                      --jobs N sets the run-engine worker count (default: all cores, or $TLP_THREADS)\n\
                      --cache-dir DIR persists simulation results on disk; a re-run is simulation-free\n\
                      --no-cache disables the on-disk tier (the in-process cache always dedups the grid)\n\
@@ -293,9 +279,6 @@ fn main() {
     }
     if let Some(n) = jobs {
         rc.threads = n;
-    }
-    if let Some(mode) = engine {
-        rc.engine = mode;
     }
     // A standalone validation verb: exits 0 when FILE parses as a Chrome
     // trace under the serial codec (CI's smoke check), 1 otherwise.
@@ -547,7 +530,7 @@ fn main() {
     }
     // Daemon mode: hand the whole session (registry + cache + pool) to
     // the service and serve forever. Same behavior as the `tlp_serve`
-    // binary, sharing this invocation's scale/engine/cache flags.
+    // binary, sharing this invocation's scale/cache flags.
     if let Some(addr) = &serve_addr {
         let server = match Server::bind(addr.as_str(), session) {
             Ok(s) => s,
@@ -777,8 +760,8 @@ fn main() {
     }
     // The run-engine summary (CI's cache-behavior job asserts on it: a
     // warm-cache run must report simulated=0 and hit_rate=100.0%). The
-    // engine mode leads so cycle-vs-event table diffs can exclude this
-    // line with a single `grep -v run-engine`.
+    // engine mode leads; table diffs exclude this line with a single
+    // `grep -v run-engine`.
     println!(
         "# run-engine: engine={} {}",
         rc.engine,

@@ -2,9 +2,8 @@
 //!
 //! Usage:
 //! ```text
-//! tlp-serve [--addr HOST:PORT] [--test|--quick|--full]
-//!           [--engine cycle|event] [--jobs N]
-//!           [--cache-dir DIR [--cache-cap-mb MB]]
+//! tlp-serve [--addr HOST:PORT] [--test|--quick|--full] [--jobs N]
+//!           [--cache-dir DIR [--cache-cap-mb MB]] [--trace-dir DIR]
 //! ```
 //!
 //! Binds one shared [`tlp_harness::Session`] behind the `tlp-serve`
@@ -23,7 +22,6 @@ fn main() {
     let mut addr = "127.0.0.1:7457".to_owned();
     let mut rc = RunConfig::quick();
     let mut jobs: Option<usize> = None;
-    let mut engine: Option<tlp_sim::EngineMode> = None;
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut cache_cap_mb: Option<u64> = None;
     let mut trace_dir: Option<std::path::PathBuf> = None;
@@ -40,17 +38,6 @@ fn main() {
             "--test" => rc = RunConfig::test(),
             "--quick" => rc = RunConfig::quick(),
             "--full" => rc = RunConfig::full(),
-            "--engine" => match it.next().map(|v| v.parse::<tlp_sim::EngineMode>()) {
-                Some(Ok(mode)) => engine = Some(mode),
-                Some(Err(e)) => {
-                    eprintln!("--engine: {e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("--engine requires a mode: cycle or event");
-                    std::process::exit(2);
-                }
-            },
             "--jobs" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => jobs = Some(n),
                 _ => {
@@ -81,9 +68,8 @@ fn main() {
             },
             "--help" | "-h" => {
                 println!(
-                    "tlp-serve [--addr HOST:PORT] [--test|--quick|--full] [--engine cycle|event] [--jobs N] [--cache-dir DIR [--cache-cap-mb MB]] [--trace-dir DIR]\n\
+                    "tlp-serve [--addr HOST:PORT] [--test|--quick|--full] [--jobs N] [--cache-dir DIR [--cache-cap-mb MB]] [--trace-dir DIR]\n\
                      --addr HOST:PORT binds the service (default: 127.0.0.1:7457; port 0 = ephemeral)\n\
-                     --engine selects the time-advance strategy (default: cycle)\n\
                      --jobs N sets the per-request worker count (default: all cores)\n\
                      --cache-dir DIR adds the shared on-disk tier (safe for concurrent daemons)\n\
                      --cache-cap-mb MB caps the disk tier; oldest entries are evicted LRU\n\
@@ -100,9 +86,6 @@ fn main() {
     }
     if let Some(n) = jobs {
         rc.threads = n;
-    }
-    if let Some(mode) = engine {
-        rc.engine = mode;
     }
     if cache_cap_mb.is_some() && cache_dir.is_none() {
         eprintln!("--cache-cap-mb only applies with --cache-dir DIR");

@@ -1,19 +1,20 @@
 //! The simulation engine: wires cores, caches, TLBs, DRAM and the plugin
 //! predictors together, and advances the whole system through time.
 //!
-//! Two interchangeable engine modes drive the same component logic:
+//! Two engine modes drive the same component logic:
 //!
-//! * [`EngineMode::Cycle`] — the reference implementation: every
-//!   component ticks every base cycle.
-//! * [`EngineMode::Event`] — discrete-event scheduling on the
-//!   [`tlp_events`] component contract: each component (DRAM, the LLC,
-//!   each core's L2/L1D, each core front-end, the speculative-request
-//!   and DRAM-retry queues) reports a conservative wake-up time, the
-//!   engine takes the minimum, and the clock jumps straight there.
-//!   Cycles where every component is provably idle — the common case
-//!   when the whole system stalls behind a DRAM access — are never
-//!   executed. Same-cycle wake-ups coalesce into one full tick, so only
-//!   the minimum matters and no event queue is materialized.
+//! * [`EngineMode::Event`] — the engine (and the default): each
+//!   component (DRAM, the LLC, each core's L2/L1D, each core front-end,
+//!   the speculative-request and DRAM-retry queues) reports a
+//!   conservative wake-up time, the engine takes the minimum, and the
+//!   clock jumps straight there. Cycles where every component is
+//!   provably idle — the common case when the whole system stalls
+//!   behind a DRAM access — are never executed. Same-cycle wake-ups
+//!   coalesce into one full tick, so only the minimum matters and no
+//!   event queue is materialized.
+//! * [`EngineMode::Cycle`] — the single-stepping differential oracle:
+//!   every component ticks every base cycle. Only tests, benches and
+//!   `examples/engine_race.rs` select it.
 //!
 //! The per-tick path is allocation-free in steady state: the engine owns
 //! reusable scratch buffers ([`TickScratch`]) that are cleared — never
@@ -30,7 +31,6 @@
 
 use std::collections::VecDeque;
 
-use tlp_events::Component;
 use tlp_trace::TraceSource;
 
 use crate::cache::{Cache, PrefetchEviction, TickOutput};
@@ -51,20 +51,22 @@ use tlp_timeline::{Counters as TimelineCounters, Recorder, Stage, Timeline, Time
 /// How [`System::run`] advances time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
-    /// Tick every component every base cycle (reference implementation).
-    #[default]
+    /// Tick every component every base cycle: the differential oracle
+    /// that tests and benches hold [`EngineMode::Event`] against.
     Cycle,
-    /// Discrete-event scheduling: jump from one component wake-up to the
-    /// next, skipping cycles where the whole system is provably idle.
-    /// Produces bit-identical reports to [`EngineMode::Cycle`].
+    /// Discrete-event scheduling (the engine): jump from one component
+    /// wake-up to the next, skipping cycles where the whole system is
+    /// provably idle. Produces bit-identical reports to
+    /// [`EngineMode::Cycle`].
+    #[default]
     Event,
 }
 
 impl EngineMode {
-    /// All modes, reference first.
+    /// All modes, oracle first.
     pub const ALL: [EngineMode; 2] = [EngineMode::Cycle, EngineMode::Event];
 
-    /// The CLI/env spelling of the mode.
+    /// The mode's name in run summaries and profile artifacts.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -77,20 +79,6 @@ impl EngineMode {
 impl std::fmt::Display for EngineMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for EngineMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "cycle" => Ok(EngineMode::Cycle),
-            "event" => Ok(EngineMode::Event),
-            other => Err(format!(
-                "unknown engine mode '{other}' (expected 'cycle' or 'event')"
-            )),
-        }
     }
 }
 
@@ -435,21 +423,10 @@ impl System {
     /// Selects how [`System::run`] advances time. Both modes produce
     /// bit-identical reports; [`EngineMode::Event`] is faster whenever
     /// the system spends cycles fully stalled (memory-bound workloads).
-    pub fn set_engine_mode(&mut self, mode: EngineMode) {
-        self.mode = mode;
-    }
-
-    /// Builder-style [`System::set_engine_mode`].
     #[must_use]
     pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.set_engine_mode(mode);
+        self.mode = mode;
         self
-    }
-
-    /// The active engine mode.
-    #[must_use]
-    pub fn engine_mode(&self) -> EngineMode {
-        self.mode
     }
 
     /// Ticks actually executed so far. In cycle mode this equals
@@ -1014,7 +991,8 @@ impl System {
 
     fn tick_llc(&mut self, now: Cycle) {
         let mut out = std::mem::take(&mut self.scratch.tick_out);
-        let _ = Component::tick(&mut self.llc, now, &mut out);
+        out.clear();
+        self.llc.tick_into(now, &mut out);
         for ev in out.pf_useful.drain(..) {
             self.attribute_prefetch_outcome(&ev);
         }
@@ -1298,7 +1276,8 @@ impl System {
 
     fn tick_l2(&mut self, i: usize, now: Cycle) {
         let mut out = std::mem::take(&mut self.scratch.tick_out);
-        let _ = Component::tick(&mut self.cores[i].l2, now, &mut out);
+        out.clear();
+        self.cores[i].l2.tick_into(now, &mut out);
         for paddr in out.demand_misses.drain(..) {
             self.cores[i].l2_filter.on_demand_miss(paddr);
         }
@@ -1381,7 +1360,8 @@ impl System {
 
     fn tick_l1d(&mut self, i: usize, now: Cycle) {
         let mut out = std::mem::take(&mut self.scratch.tick_out);
-        let _ = Component::tick(&mut self.cores[i].l1d, now, &mut out);
+        out.clear();
+        self.cores[i].l1d.tick_into(now, &mut out);
         for ev in out.pf_useful.drain(..) {
             self.attribute_prefetch_outcome(&ev);
         }
@@ -1947,11 +1927,9 @@ mod tests {
     }
 
     fn run_both(make: impl Fn() -> System, warmup: u64, measure: u64) -> (SimReport, SimReport) {
-        let mut cyc = make();
-        cyc.set_engine_mode(EngineMode::Cycle);
+        let mut cyc = make().with_engine_mode(EngineMode::Cycle);
         let rc = cyc.run(warmup, measure);
-        let mut evt = make();
-        evt.set_engine_mode(EngineMode::Event);
+        let mut evt = make().with_engine_mode(EngineMode::Event);
         let re = evt.run(warmup, measure);
         assert_eq!(
             cyc.cycle(),
@@ -1978,8 +1956,7 @@ mod tests {
 
     #[test]
     fn event_mode_skips_idle_cycles_on_a_memory_bound_chase() {
-        let mut evt = tiny_system(chase_trace(600));
-        evt.set_engine_mode(EngineMode::Event);
+        let mut evt = tiny_system(chase_trace(600)).with_engine_mode(EngineMode::Event);
         let _ = evt.run(0, 600);
         assert!(
             evt.ticks_executed() * 2 < evt.cycle(),
@@ -2101,12 +2078,10 @@ mod tests {
     }
 
     #[test]
-    fn engine_mode_parses_and_displays() {
-        assert_eq!("cycle".parse::<EngineMode>(), Ok(EngineMode::Cycle));
-        assert_eq!("event".parse::<EngineMode>(), Ok(EngineMode::Event));
-        assert!("evnet".parse::<EngineMode>().is_err());
+    fn engine_mode_displays_and_defaults_to_event() {
+        assert_eq!(EngineMode::Cycle.to_string(), "cycle");
         assert_eq!(EngineMode::Event.to_string(), "event");
-        assert_eq!(EngineMode::default(), EngineMode::Cycle);
+        assert_eq!(EngineMode::default(), EngineMode::Event);
     }
 
     /// The trigger's *two-bit* off-chip decision must survive the trip

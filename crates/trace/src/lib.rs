@@ -44,4 +44,4 @@ pub mod stats;
 pub use file::{read_trace, write_trace, FileTrace, TraceFile};
 pub use record::{Op, Reg, TraceRecord};
 pub use sink::TraceSink;
-pub use source::{capture, StreamingTrace, TraceSource, VecTrace};
+pub use source::{capture, TraceSource, VecTrace};

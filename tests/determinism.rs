@@ -222,7 +222,8 @@ fn event_engine_cells_are_bit_identical_to_cycle_engine() {
 
 /// Engine mode is not part of the content address: a disk cache written
 /// by the cycle engine serves the event engine (and vice versa) without
-/// re-simulating, because the reports are identical either way.
+/// re-simulating, because the reports are identical either way. A cold
+/// event-mode harness with no disk tier must simulate the same table.
 #[test]
 fn engine_modes_share_the_result_cache() {
     let dir = tmp_cache_dir("engine-share");
@@ -242,6 +243,17 @@ fn engine_modes_share_the_result_cache() {
         "event-mode run must be served entirely from the cycle-mode cache"
     );
     assert_eq!(cold_fig01.render(), warm_fig01.render());
+
+    let mut rc = rc_with_threads(2);
+    rc.engine = EngineMode::Event;
+    let event = Harness::new(rc);
+    let event_fig01 = fig01::run(&event);
+    assert_eq!(
+        event.engine_stats().simulated,
+        cold.engine_stats().simulated,
+        "a cacheless event-mode run must simulate every cell itself"
+    );
+    assert_eq!(cold_fig01.render(), event_fig01.render());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
